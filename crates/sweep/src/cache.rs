@@ -64,6 +64,22 @@ use crate::spec::SweepSpec;
 /// derived from the per-cell trace seed; v2 entries miss cleanly.)
 pub const ENGINE_VERSION: &str = "therm3d-sweep-cache/v3";
 
+/// The results a given [`ENGINE_VERSION`] stands for: the salt the
+/// digest was recorded under, and the FNV-64 ([`fnv1a64`]) of the CSV
+/// reports of a small pinned campaign followed by each result's
+/// bit-exact [`encode_line`] (`crates/sweep/tests/results_digest.rs`:
+/// `examples/sweep_scenarios.toml` on EXP-1, EXP-2..4 at 4×4 under the
+/// four paper policies, and one short 8×8 cell each on EXP-3 and EXP-4).
+///
+/// The descriptor fingerprint only ties the salt to the descriptor's
+/// *text*; this ties it to what the simulator actually computes. A
+/// change to a constant, a policy or the power model that moves any
+/// number changes the digest, and the test then fails until the salt is
+/// bumped and the new digest recorded here. The value is pinned for
+/// `x86_64`, where the bit-identity contract is checked; other targets
+/// print their digest and skip the comparison.
+pub const RESULTS_DIGEST: (&str, u64) = ("therm3d-sweep-cache/v3", 0xf88f_8d0b_451f_7a13);
+
 /// FNV-64 fingerprint of [`ENGINE_VERSION`] plus the source text of the
 /// cell-descriptor serialization region below (the `lint:
 /// region(fingerprint: cell-descriptor)` block in
