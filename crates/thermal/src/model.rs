@@ -1,6 +1,7 @@
 //! The transient/steady-state thermal model: the public face of this
 //! crate.
 
+use std::borrow::Cow;
 use std::f64::consts::SQRT_2;
 use std::sync::Arc;
 
@@ -9,12 +10,12 @@ use therm3d_telemetry::Span;
 
 use crate::config::{Integrator, ThermalConfig};
 use crate::network::RcNetwork;
-use crate::share::FactorShare;
+use crate::share::{FactorShare, ShareState};
 use crate::sparse::factor::{
     analyze, analyze_with_perm, LdlFactor, SupernodalPlan, Symbolic, BLOCKED_MIN_DIM,
 };
-use crate::sparse::level::{LevelSchedule, LevelScratch};
 use crate::sparse::CsrMatrix;
+use crate::trbdf2::{OperatorWork, TrBdf2Operator};
 use crate::units::{celsius_from_kelvin, kelvin_from_celsius};
 
 /// Safety factor applied to the explicit-RK4 stability limit.
@@ -22,15 +23,16 @@ const RK4_SAFETY: f64 = 0.9;
 /// RK4 real-axis stability interval.
 const RK4_STABILITY: f64 = 2.78;
 /// Largest implicit substep, seconds: a 100 ms paper tick runs as three
-/// TR-BDF2 substeps (six triangular solves against one cached factor).
+/// TR-BDF2 substeps of one cached step operator (two forward/backward
+/// sweep pairs per substep against one factorization).
 /// Empirically the sweet spot on the paper's stacks — trajectories stay
 /// within ~0.01 °C of the RK4 reference under worst-case per-tick power
 /// swings while a tick remains ≥15× cheaper than RK4's ~70–80
 /// stability-bounded substeps; one substep per tick would be ~2× faster
 /// but drifts by ~0.8 °C on mid-frequency (tens-of-ms) thermal modes.
 pub(crate) const MAX_IMPLICIT_STEP_S: f64 = 0.035;
-/// Cap on simultaneously cached implicit factorizations, evicted LRU
-/// (each distinct substep size needs one; real drivers use one or two).
+/// Cap on simultaneously cached step operators, evicted LRU (each
+/// distinct substep size needs one; real drivers use one or two).
 const MAX_CACHED_FACTORS: usize = 8;
 /// TR-BDF2 with γ = 2 − √2: both stages share the system
 /// `(shift/h)·C + G` with shift = 2/γ = 2 + √2.
@@ -83,34 +85,27 @@ pub struct ThermalModel {
     stable_dt: f64,
     /// The transient scheme [`step`](Self::step) uses.
     integrator: Integrator,
-    /// Scratch buffers for RK4.
-    scratch: Rk4Scratch,
+    /// Scratch buffers for RK4, allocated on its first step (the
+    /// implicit default never needs them).
+    scratch: Option<Rk4Scratch>,
     /// Cached factorizations and buffers for the implicit path.
     implicit: ImplicitState,
 }
 
-/// One cached factorization of `(TRBDF2_SHIFT/h)·C + G`.
+/// One cached step operator over the factorization of
+/// `(TRBDF2_SHIFT/h)·C + G`.
 #[derive(Debug, Clone)]
 struct StepCache {
-    /// Exact bit pattern of the substep size `h` this factor serves.
+    /// Exact bit pattern of the substep size `h` this operator serves.
     h_bits: u64,
-    factor: Arc<LdlFactor>,
-}
-
-/// Which shared-factor slot a factorization request targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FactorKey {
-    /// The conductance matrix `G` (steady-state solves).
-    Steady,
-    /// `(TRBDF2_SHIFT/h)·C + G` for the substep with these `h` bits.
-    Step(u64),
+    operator: Arc<TrBdf2Operator>,
 }
 
 /// Lazily built direct-solver state: factorization caches plus reusable
 /// dense work vectors (the per-tick hot path allocates nothing).
 #[derive(Debug, Clone, Default)]
 struct ImplicitState {
-    /// Per-substep-size factorizations, most recently created last.
+    /// Per-substep-size step operators, most recently used last.
     caches: Vec<StepCache>,
     /// Factorization of `G` alone, for direct steady-state solves.
     steady: Option<Arc<LdlFactor>>,
@@ -128,14 +123,6 @@ struct ImplicitState {
     /// Nested-dissection ordering hint for large networks, where the
     /// exact minimum-degree search is intractable.
     perm_hint: Option<Vec<usize>>,
-    /// Level-set schedule for parallel triangular solves; built lazily
-    /// from the first factor once `solver_threads > 1`.
-    schedule: Option<Arc<LevelSchedule>>,
-    level_scratch: LevelScratch,
-    /// Worker count for the level-set solves (1 = serial reference
-    /// path; the sweep runner keeps cells at 1 and parallelizes across
-    /// cells instead).
-    solver_threads: usize,
     /// Factorizations *ensured* over the model's lifetime — computed
     /// locally or adopted ready-made from the attached share; the count
     /// is identical either way, so it is scheduling-independent (tests
@@ -144,9 +131,11 @@ struct ImplicitState {
     /// Symbolic analyses ensured (same semantics; see
     /// [`ThermalModel::symbolic_analysis_count`]).
     symbolic_count: usize,
+    /// Steady-state right-hand side and solve scratch.
     rhs: Vec<f64>,
-    stage: Vec<f64>,
     solve_scratch: Vec<f64>,
+    /// Step-operator work vectors.
+    work: OperatorWork,
 }
 
 impl ImplicitState {
@@ -181,94 +170,78 @@ impl ImplicitState {
         result.unwrap_or_else(|e| panic!("{what} must be SPD: {e}"))
     }
 
-    /// Ensures a factorization of `a` for `key`: reuses (or lazily
-    /// computes) the shared symbolic analysis, and — when a
-    /// [`FactorShare`] is attached — adopts the factor from the share
-    /// or computes it exactly once *under the share lock*. Falls back
-    /// to a fresh analysis if `a`'s pattern size ever diverges from the
+    /// Ensures the shared symbolic analysis of `a`'s pattern: reuses the
+    /// local one, else adopts the share's (when `state` is given), else
+    /// computes it (into the share when there is one). Falls back to a
+    /// fresh analysis if `a`'s pattern size ever diverges from the
     /// analyzed one (cannot happen for one RC network's systems, but
     /// corruption-proof beats a panic deep inside the solver).
-    fn factor_shared(&mut self, a: &CsrMatrix, what: &str, key: FactorKey) -> Arc<LdlFactor> {
+    fn ensure_symbolic(&mut self, a: &CsrMatrix, state: Option<&mut ShareState>) {
+        let compatible = |s: &Option<Arc<Symbolic>>| {
+            s.as_ref().is_some_and(|s| s.dim() == a.dim() && s.pattern_nnz() == a.nnz())
+        };
+        if compatible(&self.symbolic) {
+            return;
+        }
+        let Some(state) = state else {
+            // Unshared path: the pre-share behaviour, unchanged.
+            let _span = Span::enter("thermal.symbolic_analyze_us");
+            let (symbolic, plan) = Self::analyze_for(a, self.perm_hint.as_ref());
+            self.symbolic = Some(Arc::new(symbolic));
+            self.plan = plan.map(Arc::new);
+            self.symbolic_count += 1;
+            return;
+        };
+        if !compatible(&state.symbolic) {
+            let _span = Span::enter("thermal.symbolic_analyze_us");
+            let (symbolic, plan) = Self::analyze_for(a, self.perm_hint.as_ref());
+            state.symbolic = Some(Arc::new(symbolic));
+            state.plan = plan.map(Arc::new);
+            state.symbolic_analyses += 1;
+        }
+        self.symbolic = state.symbolic.clone();
+        self.plan = state.plan.clone();
+        // Ensured semantics: adopting counts exactly like computing,
+        // so per-model counters stay scheduling-independent.
+        self.symbolic_count += 1;
+    }
+
+    /// Ensures one shared product of a numeric factorization — the
+    /// steady factor or a step operator: adopts it from the attached
+    /// [`FactorShare`] (`find`), or assembles the system (`system`),
+    /// factors it against the shared analysis and finishes it
+    /// (`finish`) exactly once, *under the share lock*, storing it with
+    /// `keep`. `pattern` is any matrix with the systems' pattern (`G`):
+    /// the analysis is pattern-only, so a hit never assembles a system.
+    fn ensure_shared<'a, T>(
+        &mut self,
+        pattern: &CsrMatrix,
+        what: &str,
+        find: impl FnOnce(&ShareState) -> Option<Arc<T>>,
+        keep: impl FnOnce(&mut ShareState, Arc<T>),
+        system: impl FnOnce() -> Cow<'a, CsrMatrix>,
+        finish: impl FnOnce(LdlFactor) -> T,
+    ) -> Arc<T> {
+        let share = self.share.clone();
+        let mut guard = share.as_ref().map(FactorShare::lock);
+        self.ensure_symbolic(pattern, guard.as_deref_mut());
+        if let Some(found) = guard.as_deref().and_then(find) {
+            guard.as_deref_mut().expect("found in the share").hits += 1;
+            self.factor_count += 1;
+            return found;
+        }
+        let a = system();
         // LDLᵀ without pivoting assumes symmetry; an asymmetric system
         // here means the RC assembly upstream is broken.
         debug_assert!(a.is_symmetric(1e-9), "{what} must be symmetric for LDL^T");
-        let locally_compatible = self
-            .symbolic
-            .as_ref()
-            .is_some_and(|s| s.dim() == a.dim() && s.pattern_nnz() == a.nnz());
-
-        let Some(share) = self.share.clone() else {
-            // Unshared path: the pre-share behaviour, unchanged.
-            if !locally_compatible {
-                let _span = Span::enter("thermal.symbolic_analyze_us");
-                let (symbolic, plan) = Self::analyze_for(a, self.perm_hint.as_ref());
-                self.symbolic = Some(Arc::new(symbolic));
-                self.plan = plan.map(Arc::new);
-                self.symbolic_count += 1;
-            }
-            let symbolic = self.symbolic.as_ref().expect("analyzed above");
-            let factored = Arc::new(Self::numeric_phase(symbolic, self.plan.as_deref(), a, what));
-            self.factor_count += 1;
-            return factored;
-        };
-
-        let mut state = share.lock();
-        if !locally_compatible {
-            let share_compatible = state
-                .symbolic
-                .as_ref()
-                .is_some_and(|s| s.dim() == a.dim() && s.pattern_nnz() == a.nnz());
-            if !share_compatible {
-                let _span = Span::enter("thermal.symbolic_analyze_us");
-                let (symbolic, plan) = Self::analyze_for(a, self.perm_hint.as_ref());
-                state.symbolic = Some(Arc::new(symbolic));
-                state.plan = plan.map(Arc::new);
-                state.symbolic_analyses += 1;
-            }
-            self.symbolic = state.symbolic.clone();
-            self.plan = state.plan.clone();
-            // Ensured semantics: adopting counts exactly like computing,
-            // so per-model counters stay scheduling-independent.
-            self.symbolic_count += 1;
-        }
-        let existing = match key {
-            FactorKey::Steady => state.steady.clone(),
-            FactorKey::Step(h) => {
-                state.steps.iter().find(|(hb, _)| *hb == h).map(|(_, f)| Arc::clone(f))
-            }
-        };
-        let factored = if let Some(f) = existing {
-            state.hits += 1;
-            f
-        } else {
-            let symbolic = self.symbolic.as_ref().expect("ensured above");
-            let f = Arc::new(Self::numeric_phase(symbolic, self.plan.as_deref(), a, what));
-            match key {
-                FactorKey::Steady => state.steady = Some(Arc::clone(&f)),
-                FactorKey::Step(h) => state.steps.push((h, Arc::clone(&f))),
-            }
+        let symbolic = self.symbolic.as_ref().expect("ensured above");
+        let made = Arc::new(finish(Self::numeric_phase(symbolic, self.plan.as_deref(), &a, what)));
+        if let Some(state) = guard.as_deref_mut() {
+            keep(state, Arc::clone(&made));
             state.factorizations += 1;
-            f
-        };
-        self.factor_count += 1;
-        factored
-    }
-
-    /// Solves against `factored` — level-set parallel when configured,
-    /// the serial reference sweep otherwise. Both are bit-identical.
-    fn solve_with(
-        factored: &LdlFactor,
-        schedule: Option<&LevelSchedule>,
-        level_scratch: &mut LevelScratch,
-        threads: usize,
-        rhs: &[f64],
-        solve_scratch: &mut Vec<f64>,
-        out: &mut [f64],
-    ) {
-        match schedule {
-            Some(s) if threads > 1 => s.solve_into(factored, rhs, level_scratch, out, threads),
-            _ => factored.solve_into(rhs, solve_scratch, out),
         }
+        self.factor_count += 1;
+        made
     }
 }
 
@@ -308,7 +281,7 @@ impl ThermalModel {
         let n = network.node_count();
         let temps_k = vec![network.ambient_k(); n];
         let stable_dt = RK4_SAFETY * RK4_STABILITY / network.stiffness_bound();
-        let mut implicit = ImplicitState { solver_threads: 1, ..ImplicitState::default() };
+        let mut implicit = ImplicitState::default();
         // Production-scale grids get the geometric nested-dissection
         // order (the exact minimum-degree search is quadratic-plus) and,
         // through `analyze_for`, the blocked numeric phase.
@@ -319,7 +292,7 @@ impl ThermalModel {
             temps_k,
             node_power: vec![0.0; n],
             block_power: vec![0.0; network.block_count()],
-            scratch: Rk4Scratch::new(n),
+            scratch: None,
             stable_dt,
             integrator: config.integrator,
             implicit,
@@ -334,22 +307,6 @@ impl ThermalModel {
     /// construction — so nothing is computed twice.
     pub fn set_factor_share(&mut self, share: FactorShare) {
         self.implicit.share = Some(share);
-    }
-
-    /// Sets the worker count for the level-set triangular solves.
-    /// The default of 1 keeps the serial reference path; any value is
-    /// bit-identical to any other (see
-    /// [`crate::sparse::level::LevelSchedule`]), so this is purely a
-    /// wall-clock knob for large grids. Sweep cells stay at 1 — their
-    /// parallelism lives across cells in the runner.
-    pub fn set_solver_threads(&mut self, threads: usize) {
-        self.implicit.solver_threads = threads.max(1);
-    }
-
-    /// Current level-set solve worker count.
-    #[must_use]
-    pub fn solver_threads(&self) -> usize {
-        self.implicit.solver_threads
     }
 
     /// The transient integration scheme this model steps with.
@@ -427,12 +384,19 @@ impl ThermalModel {
     ///
     /// Under the default [`Integrator::ImplicitCn`], the interval is
     /// subdivided into equal TR-BDF2 substeps of at most 35 ms (a 100 ms
-    /// paper tick is three substeps, i.e. six triangular solves against
-    /// one cached factorization of `(2+√2)/h·C + G` — see
-    /// `MAX_IMPLICIT_STEP_S` for the accuracy/cost trade-off). The
-    /// factorization for each distinct substep size is computed once and
+    /// paper tick is three substeps — see `MAX_IMPLICIT_STEP_S` for the
+    /// accuracy/cost trade-off), run by a step operator over one cached
+    /// factorization of `(2+√2)/h·C + G`. The operator permutes the
+    /// temperatures into the factor's order once per call and runs every
+    /// substep there: each stage is one fused pass (SpMV, right-hand
+    /// side and a row-form forward sweep) plus a column-form backward
+    /// sweep, bit-identical to solving each stage with
+    /// [`LdlFactor::solve_into`](crate::sparse::factor::LdlFactor::solve_into).
+    /// The operator for each distinct substep size is built once
+    /// (shared across models through an attached [`FactorShare`]) and
     /// reused with LRU eviction; stepping again at the same (or any
-    /// recently seen) `dt` never re-factorizes. Under
+    /// recently seen) `dt` never re-factorizes and allocates nothing.
+    /// Under
     /// [`Integrator::ExplicitRk4`], classic RK4 with stability-bounded
     /// substeps integrates the interval.
     ///
@@ -445,166 +409,85 @@ impl ThermalModel {
             Integrator::ExplicitRk4 => {
                 let substeps = (dt / self.stable_dt).ceil().max(1.0) as usize;
                 let h = dt / substeps as f64;
+                let n = self.temps_k.len();
+                let mut scratch = self.scratch.take().unwrap_or_else(|| Rk4Scratch::new(n));
                 for _ in 0..substeps {
-                    self.rk4_substep(h);
+                    self.rk4_substep(&mut scratch, h);
                 }
+                self.scratch = Some(scratch);
             }
             Integrator::ImplicitCn => {
                 let substeps = (dt / MAX_IMPLICIT_STEP_S).ceil().max(1.0) as usize;
                 let h = dt / substeps as f64;
-                let cache = self.ensure_step_factor(h);
-                for _ in 0..substeps {
-                    self.trbdf2_substep(h, cache);
-                }
+                let slot = self.ensure_step_operator(h);
+                let ImplicitState { caches, work, .. } = &mut self.implicit;
+                caches[slot].operator.advance(
+                    substeps,
+                    &mut self.temps_k,
+                    &self.node_power,
+                    self.network.ambient_k(),
+                    work,
+                );
             }
         }
     }
 
-    /// Returns the cache slot holding the factorization of
-    /// `(TRBDF2_SHIFT/h)·C + G`, factoring only on a miss.
-    fn ensure_step_factor(&mut self, h: f64) -> usize {
+    /// Returns the cache slot holding the step operator for substep
+    /// size `h`, building it only on a miss.
+    fn ensure_step_operator(&mut self, h: f64) -> usize {
         let h_bits = h.to_bits();
-        if let Some(i) = self.implicit.caches.iter().position(|c| c.h_bits == h_bits) {
+        let caches = &mut self.implicit.caches;
+        if let Some(i) = caches.iter().position(|c| c.h_bits == h_bits) {
             // Move the hit to the back: eviction takes the front, so the
             // cache is LRU and cycling through a handful of step sizes
-            // keeps the hot factors resident.
-            let hit = self.implicit.caches.remove(i);
-            self.implicit.caches.push(hit);
-            return self.implicit.caches.len() - 1;
+            // keeps the hot operators resident.
+            let last = caches.len() - 1;
+            if i != last {
+                let hit = caches.remove(i);
+                caches.push(hit);
+            }
+            return last;
         }
-        let system = self.network.shifted_system(TRBDF2_SHIFT / h);
-        let factored = self.implicit.factor_shared(
-            &system,
-            "implicit thermal system",
-            FactorKey::Step(h_bits),
-        );
-        if self.implicit.caches.len() >= MAX_CACHED_FACTORS {
-            self.implicit.caches.remove(0);
-        }
-        self.ensure_level_schedule(&factored);
-        self.implicit.caches.push(StepCache { h_bits, factor: factored });
-        self.implicit.caches.len() - 1
-    }
-
-    /// Builds the level-set solve schedule from the first factor once
-    /// parallel solves are requested (the schedule is structure-only,
-    /// so any factor of the shared pattern works).
-    fn ensure_level_schedule(&mut self, factored: &LdlFactor) {
-        if self.implicit.solver_threads > 1 && self.implicit.schedule.is_none() {
-            self.implicit.schedule = Some(Arc::new(LevelSchedule::new(factored)));
-        }
-    }
-
-    /// One TR-BDF2 step of size `h` against the cached factor in `slot`.
-    ///
-    /// Stage 1 (trapezoidal over γh): `M·T_γ = (α·C − G)·T_n + 2b`;
-    /// stage 2 (BDF2): `M·T_{n+1} = α·C·(c1·T_γ − c2·T_n) + b`, where
-    /// `M = α·C + G`, `α = (2+√2)/h` and `b = P + g_amb·T_amb`. With
-    /// γ = 2−√2 both stages share `M`, so one factorization serves the
-    /// whole step.
-    fn trbdf2_substep(&mut self, h: f64, slot: usize) {
-        let n = self.temps_k.len();
         let alpha = TRBDF2_SHIFT / h;
-        let amb = self.network.ambient_k();
-        let cap = self.network.capacitance();
-        let g_amb = self.network.ambient_conductance();
-        let ImplicitState {
-            caches,
-            rhs,
-            stage,
-            solve_scratch,
-            schedule,
-            level_scratch,
-            solver_threads,
-            ..
-        } = &mut self.implicit;
-        let factored = &caches[slot].factor;
-        let (schedule, threads) = (schedule.as_deref(), *solver_threads);
-        rhs.resize(n, 0.0);
-        stage.resize(n, 0.0);
-
-        // Stage 1 right-hand side: α·C·T − G·T + 2b.
-        let gt = &mut self.scratch.gt;
-        self.network.conductance().mul_into(&self.temps_k, gt);
-        for i in 0..n {
-            let b = self.node_power[i] + g_amb[i] * amb;
-            rhs[i] = alpha * cap[i] * self.temps_k[i] - gt[i] + 2.0 * b;
-        }
-        ImplicitState::solve_with(
-            factored,
-            schedule,
-            level_scratch,
-            threads,
-            rhs,
-            solve_scratch,
-            stage,
+        let network = &self.network;
+        let operator = self.implicit.ensure_shared(
+            network.conductance(),
+            "implicit thermal system",
+            |state| state.steps.iter().find(|(hb, _)| *hb == h_bits).map(|(_, op)| Arc::clone(op)),
+            |state, op| state.steps.push((h_bits, op)),
+            || Cow::Owned(network.shifted_system(alpha)),
+            |factor| TrBdf2Operator::new(factor, network, alpha),
         );
-
-        // Stage 2 right-hand side: α·C·(c1·T_γ − c2·T_n) + b.
-        for i in 0..n {
-            let b = self.node_power[i] + g_amb[i] * amb;
-            rhs[i] = alpha * cap[i] * (TRBDF2_C1 * stage[i] - TRBDF2_C2 * self.temps_k[i]) + b;
+        let caches = &mut self.implicit.caches;
+        if caches.len() >= MAX_CACHED_FACTORS {
+            caches.remove(0);
         }
-        ImplicitState::solve_with(
-            factored,
-            schedule,
-            level_scratch,
-            threads,
-            rhs,
-            solve_scratch,
-            &mut self.temps_k,
-        );
+        caches.push(StepCache { h_bits, operator });
+        caches.len() - 1
     }
 
-    fn rk4_substep(&mut self, h: f64) {
+    fn rk4_substep(&mut self, s: &mut Rk4Scratch, h: f64) {
         let n = self.temps_k.len();
+        let (net, power) = (&self.network, &self.node_power);
         // k1 = f(T)
-        Self::deriv(
-            &self.network,
-            &self.node_power,
-            &self.temps_k,
-            &mut self.scratch.gt,
-            &mut self.scratch.k1,
-        );
+        Self::deriv(net, power, &self.temps_k, &mut s.gt, &mut s.k1);
         // k2 = f(T + h/2 k1)
         for i in 0..n {
-            self.scratch.tmp[i] = self.temps_k[i] + 0.5 * h * self.scratch.k1[i];
+            s.tmp[i] = self.temps_k[i] + 0.5 * h * s.k1[i];
         }
-        Self::deriv(
-            &self.network,
-            &self.node_power,
-            &self.scratch.tmp,
-            &mut self.scratch.gt,
-            &mut self.scratch.k2,
-        );
+        Self::deriv(net, power, &s.tmp, &mut s.gt, &mut s.k2);
         // k3 = f(T + h/2 k2)
         for i in 0..n {
-            self.scratch.tmp[i] = self.temps_k[i] + 0.5 * h * self.scratch.k2[i];
+            s.tmp[i] = self.temps_k[i] + 0.5 * h * s.k2[i];
         }
-        Self::deriv(
-            &self.network,
-            &self.node_power,
-            &self.scratch.tmp,
-            &mut self.scratch.gt,
-            &mut self.scratch.k3,
-        );
+        Self::deriv(net, power, &s.tmp, &mut s.gt, &mut s.k3);
         // k4 = f(T + h k3)
         for i in 0..n {
-            self.scratch.tmp[i] = self.temps_k[i] + h * self.scratch.k3[i];
+            s.tmp[i] = self.temps_k[i] + h * s.k3[i];
         }
-        Self::deriv(
-            &self.network,
-            &self.node_power,
-            &self.scratch.tmp,
-            &mut self.scratch.gt,
-            &mut self.scratch.k4,
-        );
+        Self::deriv(net, power, &s.tmp, &mut s.gt, &mut s.k4);
         for i in 0..n {
-            self.temps_k[i] += h / 6.0
-                * (self.scratch.k1[i]
-                    + 2.0 * self.scratch.k2[i]
-                    + 2.0 * self.scratch.k3[i]
-                    + self.scratch.k4[i]);
+            self.temps_k[i] += h / 6.0 * (s.k1[i] + 2.0 * s.k2[i] + 2.0 * s.k3[i] + s.k4[i]);
         }
     }
 
@@ -642,23 +525,18 @@ impl ThermalModel {
         if self.implicit.steady.is_none() {
             // `G` shares the shifted systems' pattern (full structural
             // diagonal), so this also reuses the one symbolic analysis.
-            let factored = self.implicit.factor_shared(
-                self.network.conductance(),
+            let g = self.network.conductance();
+            let factored = self.implicit.ensure_shared(
+                g,
                 "conductance matrix",
-                FactorKey::Steady,
+                |state| state.steady.clone(),
+                |state, f| state.steady = Some(f),
+                || Cow::Borrowed(g),
+                |factor| factor,
             );
-            self.ensure_level_schedule(&factored);
             self.implicit.steady = Some(factored);
         }
-        let ImplicitState {
-            steady,
-            rhs,
-            solve_scratch,
-            schedule,
-            level_scratch,
-            solver_threads,
-            ..
-        } = &mut self.implicit;
+        let ImplicitState { steady, rhs, solve_scratch, .. } = &mut self.implicit;
         rhs.clear();
         rhs.extend(
             self.node_power
@@ -666,15 +544,7 @@ impl ThermalModel {
                 .zip(self.network.ambient_conductance())
                 .map(|(&p, &g)| p + g * amb),
         );
-        ImplicitState::solve_with(
-            steady.as_ref().expect("factored above"),
-            schedule.as_deref(),
-            level_scratch,
-            *solver_threads,
-            rhs,
-            solve_scratch,
-            &mut self.temps_k,
-        );
+        steady.as_ref().expect("factored above").solve_into(rhs, solve_scratch, &mut self.temps_k);
         self.block_temperatures_c()
     }
 
@@ -981,32 +851,6 @@ mod tests {
             for (a, b) in m.node_temperatures_k().iter().zip(reference) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
-        }
-    }
-
-    #[test]
-    fn parallel_solver_threads_are_bit_identical_to_serial() {
-        let stack = Experiment::Exp2.stack();
-        let cfg = ThermalConfig::paper_default().with_grid(8, 8);
-        let p = {
-            let mut p = vec![0.0; stack.num_blocks()];
-            for c in stack.core_ids() {
-                p[stack.core_block_index(c)] = 3.0;
-            }
-            p
-        };
-        let mut serial = ThermalModel::new(&stack, cfg.clone());
-        let mut parallel = ThermalModel::new(&stack, cfg);
-        parallel.set_solver_threads(4);
-        assert_eq!(parallel.solver_threads(), 4);
-        for m in [&mut serial, &mut parallel] {
-            m.initialize_steady_state(&p);
-            for _ in 0..20 {
-                m.step(0.1);
-            }
-        }
-        for (a, b) in parallel.node_temperatures_k().iter().zip(serial.node_temperatures_k()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "leveled solves must match serial bit-for-bit");
         }
     }
 

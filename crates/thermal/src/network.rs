@@ -151,7 +151,7 @@ impl RcNetwork {
         }
         debug_assert_eq!(block_nodes.len(), stack.num_blocks());
 
-        let conductance = g.to_csr();
+        let conductance = g.into_csr();
         // The RC system is only well-posed if G is symmetric (every
         // conductance added pairwise) and every node has thermal mass;
         // the implicit integrator's SPD factorization relies on both.

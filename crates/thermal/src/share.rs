@@ -5,7 +5,8 @@
 //! *identical* — same experiment, stack order, TSV variant, grid and
 //! integrator — differing only in policies, sensors or seeds, none of
 //! which touch the RC network. Without sharing, every such cell redoes
-//! the same symbolic analysis and the same numeric factorizations.
+//! the same symbolic analysis, the same numeric factorizations and the
+//! same step operators built over them.
 //! A [`FactorShare`] is a lock-light, clonable handle the sweep runner
 //! creates per distinct model fingerprint and attaches to every
 //! matching cell's model ([`crate::ThermalModel::set_factor_share`]):
@@ -24,6 +25,7 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::sparse::factor::{LdlFactor, SupernodalPlan, Symbolic};
+use crate::trbdf2::TrBdf2Operator;
 
 /// Shared factor state for one thermal-model fingerprint. Cloning the
 /// handle shares the underlying state (it is an `Arc` internally).
@@ -34,14 +36,15 @@ pub struct FactorShare {
 
 /// The guarded state: one symbolic analysis (plus the supernodal plan
 /// where the blocked path applies), the steady-state factor of `G`,
-/// and one factor per distinct implicit substep size.
+/// and one TR-BDF2 step operator (which owns its factor) per distinct
+/// implicit substep size.
 #[derive(Debug, Default)]
 pub(crate) struct ShareState {
     pub(crate) symbolic: Option<Arc<Symbolic>>,
     pub(crate) plan: Option<Arc<SupernodalPlan>>,
     pub(crate) steady: Option<Arc<LdlFactor>>,
-    /// `(h_bits, factor)` per distinct substep size, insertion order.
-    pub(crate) steps: Vec<(u64, Arc<LdlFactor>)>,
+    /// `(h_bits, operator)` per distinct substep size, insertion order.
+    pub(crate) steps: Vec<(u64, Arc<TrBdf2Operator>)>,
     /// Symbolic analyses actually computed (not adopted) through this
     /// share — exactly 1 once any model has factored.
     pub(crate) symbolic_analyses: usize,

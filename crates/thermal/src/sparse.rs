@@ -11,7 +11,6 @@
 //! transient integrator leans on.
 
 pub mod factor;
-pub mod level;
 
 use std::fmt;
 
@@ -87,15 +86,33 @@ impl TripletMatrix {
     pub fn to_csr(&self) -> CsrMatrix {
         CsrMatrix::from_triplets(self.n, &self.entries)
     }
+
+    /// [`to_csr`](Self::to_csr), consuming the builder so its entry
+    /// buffer is sorted in place rather than copied first.
+    #[must_use]
+    pub fn into_csr(self) -> CsrMatrix {
+        CsrMatrix::from_triplets_vec(self.n, self.entries)
+    }
 }
 
-/// A compressed-sparse-row matrix.
+/// A compressed-sparse-row matrix. Row pointers and column indices are
+/// stored as `u32` (half the index memory of `usize`); dimensions and
+/// stored-entry counts are therefore capped at `u32::MAX`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     n: usize,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
+    row_ptr: Vec<u32>,
+    col_idx: Vec<u32>,
     values: Vec<f64>,
+}
+
+/// Narrows a sparse index to the `u32` storage width.
+///
+/// # Panics
+///
+/// Panics if `i` does not fit in `u32` (a matrix past 4·10⁹ entries).
+pub(crate) fn narrow(i: usize) -> u32 {
+    u32::try_from(i).expect("sparse index exceeds the u32 storage width")
 }
 
 impl CsrMatrix {
@@ -103,27 +120,41 @@ impl CsrMatrix {
     /// summed).
     #[must_use]
     pub fn from_triplets(n: usize, entries: &[(usize, usize, f64)]) -> Self {
-        let mut sorted: Vec<(usize, usize, f64)> = entries.to_vec();
+        Self::from_triplets_vec(n, entries.to_vec())
+    }
+
+    /// [`from_triplets`](Self::from_triplets), sorting the caller's
+    /// buffer in place instead of a copy. Duplicates are summed in the
+    /// order the sort leaves them, which is the same for both entry
+    /// points (same element type, same input order).
+    fn from_triplets_vec(n: usize, mut sorted: Vec<(usize, usize, f64)>) -> Self {
+        narrow(n);
         sorted.sort_unstable_by_key(|a| (a.0, a.1));
 
-        let mut row_ptr = vec![0usize; n + 1];
-        let mut col_idx: Vec<usize> = Vec::with_capacity(sorted.len());
+        let mut row_ptr = vec![0u32; n + 1];
+        let mut col_idx: Vec<u32> = Vec::with_capacity(sorted.len());
         let mut values: Vec<f64> = Vec::with_capacity(sorted.len());
         let mut cur: Option<(usize, usize)> = None;
         for (r, c, v) in sorted {
             if cur == Some((r, c)) {
                 *values.last_mut().expect("entry exists") += v;
             } else {
-                col_idx.push(c);
+                col_idx.push(narrow(c));
                 values.push(v);
                 row_ptr[r + 1] += 1;
                 cur = Some((r, c));
             }
         }
+        narrow(values.len());
         for i in 0..n {
             row_ptr[i + 1] += row_ptr[i];
         }
         Self { n, row_ptr, col_idx, values }
+    }
+
+    /// Entry range of row `r` in the column/value arrays.
+    fn span(&self, r: usize) -> std::ops::Range<usize> {
+        self.row_ptr[r] as usize..self.row_ptr[r + 1] as usize
     }
 
     /// Matrix dimension.
@@ -147,9 +178,10 @@ impl CsrMatrix {
         assert_eq!(x.len(), self.n, "x length mismatch");
         assert_eq!(out.len(), self.n, "out length mismatch");
         for (r, slot) in out.iter_mut().enumerate() {
+            let span = self.span(r);
             let mut acc = 0.0;
-            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                acc += self.values[k] * x[self.col_idx[k]];
+            for (&c, &v) in self.col_idx[span.clone()].iter().zip(&self.values[span]) {
+                acc += v * x[c as usize];
             }
             *slot = acc;
         }
@@ -172,9 +204,9 @@ impl CsrMatrix {
     pub fn diagonal(&self) -> Vec<f64> {
         let mut d = vec![0.0; self.n];
         for (r, slot) in d.iter_mut().enumerate() {
-            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                if self.col_idx[k] == r {
-                    *slot += self.values[k];
+            for (c, v) in self.row(r) {
+                if c == r {
+                    *slot += v;
                 }
             }
         }
@@ -189,10 +221,8 @@ impl CsrMatrix {
     /// Panics if `r` is out of bounds.
     pub fn row(&self, r: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         assert!(r < self.n, "row {r} out of bounds for n={}", self.n);
-        self.col_idx[self.row_ptr[r]..self.row_ptr[r + 1]]
-            .iter()
-            .zip(&self.values[self.row_ptr[r]..self.row_ptr[r + 1]])
-            .map(|(&c, &v)| (c, v))
+        let span = self.span(r);
+        self.col_idx[span.clone()].iter().zip(&self.values[span]).map(|(&c, &v)| (c as usize, v))
     }
 
     /// Returns `self + diag(d)` as a new matrix (used to assemble the
@@ -204,17 +234,30 @@ impl CsrMatrix {
     #[must_use]
     pub fn with_added_diagonal(&self, d: &[f64]) -> CsrMatrix {
         assert_eq!(d.len(), self.n, "diagonal length mismatch");
+        for (i, &v) in d.iter().enumerate() {
+            assert!(v.is_finite(), "diagonal entry {i} must be finite, got {v}");
+        }
+        // With every diagonal entry already stored (the RC systems'
+        // case) the pattern is unchanged and each diagonal is the sum
+        // of exactly two terms, `a_ii + d_i`: adding in place gives the
+        // bits the triplet path below would, without its buffers.
+        let diag_slots: Option<Vec<usize>> =
+            (0..self.n).map(|r| self.span(r).find(|&k| self.col_idx[k] as usize == r)).collect();
+        if let Some(slots) = diag_slots {
+            let mut out = self.clone();
+            for (&k, &v) in slots.iter().zip(d) {
+                out.values[k] += v;
+            }
+            return out;
+        }
         let mut triplets: Vec<(usize, usize, f64)> = Vec::with_capacity(self.nnz() + self.n);
         for r in 0..self.n {
             for (c, v) in self.row(r) {
                 triplets.push((r, c, v));
             }
         }
-        for (i, &v) in d.iter().enumerate() {
-            assert!(v.is_finite(), "diagonal entry {i} must be finite, got {v}");
-            triplets.push((i, i, v));
-        }
-        CsrMatrix::from_triplets(self.n, &triplets)
+        triplets.extend(d.iter().enumerate().map(|(i, &v)| (i, i, v)));
+        CsrMatrix::from_triplets_vec(self.n, triplets)
     }
 
     /// Entry `(row, col)` (zero if not stored).
@@ -223,27 +266,14 @@ impl CsrMatrix {
         if row >= self.n {
             return 0.0;
         }
-        let mut acc = 0.0;
-        for k in self.row_ptr[row]..self.row_ptr[row + 1] {
-            if self.col_idx[k] == col {
-                acc += self.values[k];
-            }
-        }
-        acc
+        self.row(row).filter(|&(c, _)| c == col).fold(0.0, |acc, (_, v)| acc + v)
     }
 
     /// Checks symmetry to within `tol` (debugging aid; O(nnz·log)).
     #[must_use]
     pub fn is_symmetric(&self, tol: f64) -> bool {
-        for r in 0..self.n {
-            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                let c = self.col_idx[k];
-                if (self.get(r, c) - self.get(c, r)).abs() > tol {
-                    return false;
-                }
-            }
-        }
-        true
+        (0..self.n)
+            .all(|r| self.row(r).all(|(c, _)| (self.get(r, c) - self.get(c, r)).abs() <= tol))
     }
 }
 

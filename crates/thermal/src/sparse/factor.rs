@@ -7,7 +7,12 @@
 //! `α·C + G` for the implicit step) never change after assembly, so one
 //! [`factor`] call up front turns every subsequent solve into two
 //! triangular sweeps plus a diagonal scale — `O(nnz(L))` instead of a
-//! CG iteration per solve.
+//! CG iteration per solve. [`LdlFactor`] stores `L` by columns with
+//! `u32` indices; [`LdlFactor::solve_into`] is the reference solve,
+//! used for steady states. The per-tick path wraps each step factor in
+//! the model's TR-BDF2 step operator, which adds a row form of `L` for
+//! a gather forward sweep and is bit-identical to two `solve_into`
+//! calls per substep.
 //!
 //! The implementation is the classic up-looking algorithm (elimination
 //! tree → per-row symbolic pattern → numeric row of L), in the style of
@@ -38,15 +43,15 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use super::CsrMatrix;
+use super::{narrow, CsrMatrix};
 
-/// Matrix dimension at which the blocked/supernodal numeric phase and
-/// the level-set parallel solves take over from the scalar reference
-/// path. Below the threshold the scalar up-looking factorization runs
-/// unchanged, keeping every existing grid bit-for-bit identical to the
-/// pre-blocked implementation; at and above it (64×64-per-layer
-/// networks and larger) the dense-panel path wins on cache behaviour
-/// and the solve parallelism pays for its barriers.
+/// Matrix dimension at which the thermal model switches to the
+/// nested-dissection ordering and the blocked/supernodal numeric phase.
+/// Below the threshold the minimum-degree ordering and the scalar
+/// up-looking factorization run unchanged, keeping every existing grid
+/// bit-for-bit identical to the pre-blocked implementation. Solves are
+/// the same at every size: the model's TR-BDF2 step operator per tick,
+/// [`LdlFactor::solve_into`] for steady states.
 pub const BLOCKED_MIN_DIM: usize = 2048;
 
 /// Width cap on detected supernodes: bounds the dense-panel working set
@@ -89,25 +94,25 @@ impl std::error::Error for FactorError {}
 
 /// A pre-computed `P·A·Pᵀ = L·D·Lᵀ` factorization of an SPD matrix.
 ///
-/// `L` is unit lower triangular (implicit diagonal) stored by columns;
-/// `D` is the positive pivot diagonal; `P` is the fill-reducing
-/// permutation. [`solve`](Self::solve) /
+/// `L` is unit lower triangular (implicit diagonal) stored by columns
+/// with `u32` indices; `D` is the positive pivot diagonal; `P` is the
+/// fill-reducing permutation. [`solve`](Self::solve) /
 /// [`solve_into`](Self::solve_into) apply
 /// `x = Pᵀ·L⁻ᵀ·D⁻¹·L⁻¹·P·b`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LdlFactor {
-    n: usize,
+    pub(crate) n: usize,
     /// `perm[new] = old`: row/column `new` of the permuted matrix is
     /// row/column `old` of the original.
-    perm: Vec<usize>,
+    pub(crate) perm: Vec<u32>,
     /// Column pointers of L (strictly-lower part, unit diagonal implicit).
-    col_ptr: Vec<usize>,
-    /// Row indices of L's stored entries.
-    row_idx: Vec<usize>,
+    pub(crate) col_ptr: Vec<u32>,
+    /// Row indices of L's stored entries, ascending within a column.
+    pub(crate) row_idx: Vec<u32>,
     /// Values of L's stored entries.
-    values: Vec<f64>,
+    pub(crate) values: Vec<f64>,
     /// The pivot diagonal D (all positive).
-    d: Vec<f64>,
+    pub(crate) d: Vec<f64>,
 }
 
 impl LdlFactor {
@@ -126,29 +131,14 @@ impl LdlFactor {
 
     /// The fill-reducing permutation (`perm[new] = old`).
     #[must_use]
-    pub fn permutation(&self) -> &[usize] {
+    pub fn permutation(&self) -> &[u32] {
         &self.perm
     }
 
-    /// Column pointers of L's strictly-lower part (for the level-set
-    /// solve scheduler).
-    pub(crate) fn l_col_ptr(&self) -> &[usize] {
-        &self.col_ptr
-    }
-
-    /// Row indices of L's stored entries.
-    pub(crate) fn l_row_idx(&self) -> &[usize] {
-        &self.row_idx
-    }
-
-    /// Values of L's stored entries.
-    pub(crate) fn l_values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// The pivot diagonal D.
-    pub(crate) fn pivots(&self) -> &[f64] {
-        &self.d
+    /// Row indices and values of column `j` of L.
+    pub(crate) fn col(&self, j: usize) -> (&[u32], &[f64]) {
+        let (start, end) = (self.col_ptr[j] as usize, self.col_ptr[j + 1] as usize);
+        (&self.row_idx[start..end], &self.values[start..end])
     }
 
     /// Solves `A·x = b`, allocating the result.
@@ -177,13 +167,14 @@ impl LdlFactor {
         scratch.resize(self.n, 0.0);
         let z = &mut scratch[..];
         for (zi, &old) in z.iter_mut().zip(&self.perm) {
-            *zi = b[old];
+            *zi = b[old as usize];
         }
         // Forward: L·y = P·b.
         for j in 0..self.n {
             let zj = z[j];
-            for p in self.col_ptr[j]..self.col_ptr[j + 1] {
-                z[self.row_idx[p]] -= self.values[p] * zj;
+            let (rows, vals) = self.col(j);
+            for (&i, &l) in rows.iter().zip(vals) {
+                z[i as usize] -= l * zj;
             }
         }
         // Diagonal: D·w = y.
@@ -193,14 +184,15 @@ impl LdlFactor {
         // Backward: Lᵀ·v = w.
         for j in (0..self.n).rev() {
             let mut zj = z[j];
-            for p in self.col_ptr[j]..self.col_ptr[j + 1] {
-                zj -= self.values[p] * z[self.row_idx[p]];
+            let (rows, vals) = self.col(j);
+            for (&i, &l) in rows.iter().zip(vals) {
+                zj -= l * z[i as usize];
             }
             z[j] = zj;
         }
         // Un-permute: x = Pᵀ·v.
         for (zi, &old) in z.iter().zip(&self.perm) {
-            x[old] = *zi;
+            x[old as usize] = *zi;
         }
     }
     // lint: end-region
@@ -222,14 +214,17 @@ pub struct Symbolic {
     /// numeric refactorization is using the same pattern).
     nnz: usize,
     /// `perm[new] = old` fill-reducing permutation.
-    perm: Vec<usize>,
+    perm: Vec<u32>,
     /// Inverse permutation.
-    iperm: Vec<usize>,
-    /// Elimination-tree parent per node (`usize::MAX` = root).
-    parent: Vec<usize>,
+    iperm: Vec<u32>,
+    /// Elimination-tree parent per node ([`NO_PARENT`] = root).
+    parent: Vec<u32>,
     /// Column pointers of L (strictly-lower part).
-    col_ptr: Vec<usize>,
+    col_ptr: Vec<u32>,
 }
+
+/// Elimination-tree parent of a root.
+const NO_PARENT: u32 = u32::MAX;
 
 impl Symbolic {
     /// Matrix dimension this analysis was computed for.
@@ -241,7 +236,12 @@ impl Symbolic {
     /// Predicted stored non-zeros of `L` including the unit diagonal.
     #[must_use]
     pub fn nnz_l(&self) -> usize {
-        self.col_ptr[self.n] + self.n
+        self.col_ptr[self.n] as usize + self.n
+    }
+
+    /// Fill count (stored strictly-lower entries) of column `j` of L.
+    fn lnz(&self, j: usize) -> usize {
+        (self.col_ptr[j + 1] - self.col_ptr[j]) as usize
     }
 
     /// Stored-entry count of the matrix this analysis was computed from
@@ -269,12 +269,12 @@ impl Symbolic {
         let n = self.n;
         assert_eq!(a.dim(), n, "numeric phase on a different-sized matrix");
         assert_eq!(a.nnz(), self.nnz, "numeric phase on a different sparsity pattern");
-        let Symbolic { perm, iperm, parent, col_ptr, .. } = self;
+        let Symbolic { perm, col_ptr, .. } = self;
 
         // Numeric phase (up-looking): compute row j of L against the
         // already finished columns, in elimination-tree topological order.
-        let total = col_ptr[n];
-        let mut row_idx = vec![0usize; total];
+        let total = col_ptr[n] as usize;
+        let mut row_idx = vec![0u32; total];
         let mut values = vec![0.0f64; total];
         let mut filled = vec![0usize; n];
         let mut d = vec![0.0f64; n];
@@ -283,42 +283,21 @@ impl Symbolic {
         let mut path = vec![0usize; n];
         let mut flag = vec![usize::MAX; n];
         for j in 0..n {
-            let mut top = n;
-            flag[j] = j;
             y[j] = 0.0;
-            for (c_old, v) in a.row(perm[j]) {
-                let i = iperm[c_old];
-                if i > j {
-                    continue;
-                }
-                y[i] += v;
-                let mut len = 0;
-                let mut k = i;
-                while flag[k] != j {
-                    path[len] = k;
-                    len += 1;
-                    flag[k] = j;
-                    k = parent[k];
-                }
-                while len > 0 {
-                    len -= 1;
-                    top -= 1;
-                    pattern[top] = path[len];
-                }
-            }
+            let top = self.row_pattern(a, j, &mut flag, &mut path, &mut pattern, |i, v| y[i] += v);
             let mut dj = y[j];
             y[j] = 0.0;
             for &k in &pattern[top..n] {
                 let yk = y[k];
                 y[k] = 0.0;
-                let p0 = col_ptr[k];
+                let p0 = col_ptr[k] as usize;
                 for p in p0..p0 + filled[k] {
-                    y[row_idx[p]] -= values[p] * yk;
+                    y[row_idx[p] as usize] -= values[p] * yk;
                 }
                 let ljk = yk / d[k];
                 dj -= ljk * yk;
                 let p = p0 + filled[k];
-                row_idx[p] = j;
+                row_idx[p] = j as u32;
                 values[p] = ljk;
                 filled[k] += 1;
             }
@@ -333,10 +312,49 @@ impl Symbolic {
         // into the wrong column slots, and release builds must not
         // return silently wrong factors.
         assert!(
-            (0..n).all(|j| filled[j] == col_ptr[j + 1] - col_ptr[j]),
+            (0..n).all(|j| filled[j] == self.lnz(j)),
             "matrix pattern differs from the analyzed pattern (symbolic/numeric fill mismatch)"
         );
         Ok(LdlFactor { n, perm: perm.clone(), col_ptr: col_ptr.clone(), row_idx, values, d })
+    }
+
+    /// The up-looking pattern walk for row `j` of L: visits the lower
+    /// entries `(i, v)` of row `j` of the permuted matrix (calling
+    /// `visit` on each) and leaves in `pattern[top..n]` the columns `k`
+    /// with `L[j][k] ≠ 0`, in elimination-tree topological order.
+    /// Returns `top`.
+    fn row_pattern(
+        &self,
+        a: &CsrMatrix,
+        j: usize,
+        flag: &mut [usize],
+        path: &mut [usize],
+        pattern: &mut [usize],
+        mut visit: impl FnMut(usize, f64),
+    ) -> usize {
+        let mut top = self.n;
+        flag[j] = j;
+        for (c_old, v) in a.row(self.perm[j] as usize) {
+            let i = self.iperm[c_old] as usize;
+            if i > j {
+                continue;
+            }
+            visit(i, v);
+            let mut len = 0;
+            let mut k = i;
+            while flag[k] != j {
+                path[len] = k;
+                len += 1;
+                flag[k] = j;
+                k = self.parent[k] as usize;
+            }
+            while len > 0 {
+                len -= 1;
+                top -= 1;
+                pattern[top] = path[len];
+            }
+        }
+        top
     }
 
     /// Builds the supernodal execution plan for the blocked numeric
@@ -355,48 +373,28 @@ impl Symbolic {
         let n = self.n;
         assert_eq!(a.dim(), n, "supernodal plan on a different-sized matrix");
         assert_eq!(a.nnz(), self.nnz, "supernodal plan on a different sparsity pattern");
-        let Symbolic { perm, iperm, parent, col_ptr, .. } = self;
+        let Symbolic { parent, col_ptr, .. } = self;
 
         // Replay the numeric phase's pattern walk, recording only the
         // row indices: the resulting structure is byte-identical to the
         // scalar phase's `row_idx` (rows appended to each column as `j`
         // ascends, so columns are sorted ascending).
-        let total = col_ptr[n];
-        let mut row_idx = vec![0usize; total];
+        let total = col_ptr[n] as usize;
+        let mut row_idx = vec![0u32; total];
         let mut filled = vec![0usize; n];
         let mut pattern = vec![0usize; n];
         let mut path = vec![0usize; n];
         let mut flag = vec![usize::MAX; n];
         for j in 0..n {
-            let mut top = n;
-            flag[j] = j;
-            for (c_old, _) in a.row(perm[j]) {
-                let i = iperm[c_old];
-                if i > j {
-                    continue;
-                }
-                let mut len = 0;
-                let mut k = i;
-                while flag[k] != j {
-                    path[len] = k;
-                    len += 1;
-                    flag[k] = j;
-                    k = parent[k];
-                }
-                while len > 0 {
-                    len -= 1;
-                    top -= 1;
-                    pattern[top] = path[len];
-                }
-            }
+            let top = self.row_pattern(a, j, &mut flag, &mut path, &mut pattern, |_, _| {});
             for &k in &pattern[top..n] {
-                let p = col_ptr[k] + filled[k];
-                row_idx[p] = j;
+                let p = col_ptr[k] as usize + filled[k];
+                row_idx[p] = j as u32;
                 filled[k] += 1;
             }
         }
         assert!(
-            (0..n).all(|j| filled[j] == col_ptr[j + 1] - col_ptr[j]),
+            (0..n).all(|j| filled[j] == self.lnz(j)),
             "matrix pattern differs from the analyzed pattern (symbolic/numeric fill mismatch)"
         );
 
@@ -404,12 +402,13 @@ impl Symbolic {
         // supernode when j is the etree parent of j-1 and column j-1's
         // pattern is exactly {j} ∪ pattern(j) — equivalently the fill
         // counts differ by one. A width cap keeps panels cache-sized.
-        let lnz = |j: usize| col_ptr[j + 1] - col_ptr[j];
+        let lnz = |j: usize| self.lnz(j);
         let mut sn_ptr = vec![0usize];
         let mut start = 0usize;
         for j in 1..n {
-            let join =
-                parent[j - 1] == j && lnz(j - 1) == lnz(j) + 1 && j - start < SUPERNODE_MAX_WIDTH;
+            let join = parent[j - 1] as usize == j
+                && lnz(j - 1) == lnz(j) + 1
+                && j - start < SUPERNODE_MAX_WIDTH;
             if !join {
                 sn_ptr.push(j);
                 start = j;
@@ -463,10 +462,11 @@ impl Symbolic {
             "supernodal plan was built for a different pattern"
         );
         let Symbolic { perm, iperm, col_ptr, .. } = self;
-        let row_idx = &plan.row_idx;
+        let cp = |j: usize| col_ptr[j] as usize;
+        let ri = |p: usize| plan.row_idx[p] as usize;
         let num_sn = plan.sn_ptr.len().saturating_sub(1);
 
-        let mut values = vec![0.0f64; col_ptr[n]];
+        let mut values = vec![0.0f64; cp(n)];
         let mut d = vec![0.0f64; n];
         // Dense panel (column-major, height = supernode width + shared
         // below-block row count) plus the global-row → panel-slot map.
@@ -487,8 +487,8 @@ impl Symbolic {
             let w = l - f;
             // Shared below-block rows of this supernode = the row list
             // of its last column (every member column ends with them).
-            let r0 = col_ptr[l - 1];
-            let nr = col_ptr[l] - r0;
+            let r0 = cp(l - 1);
+            let nr = cp(l) - r0;
             let height = w + nr;
 
             // Panel rows are the supernode's own columns then the
@@ -499,7 +499,7 @@ impl Symbolic {
                 stamp[j] = s;
             }
             for idx in 0..nr {
-                let i = row_idx[r0 + idx];
+                let i = ri(r0 + idx);
                 local[i] = w + idx;
                 stamp[i] = s;
             }
@@ -510,8 +510,8 @@ impl Symbolic {
             // Scatter A's lower-triangle columns into the panel.
             for (jc, j) in (f..l).enumerate() {
                 let base = jc * height;
-                for (c_old, v) in a.row(perm[j]) {
-                    let i = iperm[c_old];
+                for (c_old, v) in a.row(perm[j] as usize) {
+                    let i = iperm[c_old] as usize;
                     if i < j {
                         continue;
                     }
@@ -530,25 +530,25 @@ impl Symbolic {
                 let t_next = next_src[t];
                 let ft = plan.sn_ptr[t];
                 let lt = plan.sn_ptr[t + 1];
-                let tr0 = col_ptr[lt - 1];
-                let tlen = col_ptr[lt] - tr0;
+                let tr0 = cp(lt - 1);
+                let tlen = cp(lt) - tr0;
                 let start = pos[t];
                 let mut stop = start;
-                while stop < tlen && row_idx[tr0 + stop] < l {
+                while stop < tlen && ri(tr0 + stop) < l {
                     stop += 1;
                 }
                 for idx_j in start..stop {
-                    let j = row_idx[tr0 + idx_j];
+                    let j = ri(tr0 + idx_j);
                     debug_assert!((f..l).contains(&j));
                     let base = (j - f) * height;
                     for k in ft..lt {
                         // Column k of T stores rows {k+1..lt} then RT;
                         // its below-block values start at lt-1-k.
-                        let off = col_ptr[k] + (lt - 1 - k);
+                        let off = col_ptr[k] as usize + (lt - 1 - k);
                         let ljk = values[off + idx_j];
                         let coef = d[k] * ljk;
                         for idx_i in idx_j..tlen {
-                            let i = row_idx[tr0 + idx_i];
+                            let i = ri(tr0 + idx_i);
                             debug_assert_eq!(stamp[i], s, "update row outside the target panel");
                             panel[base + local[i]] -= coef * values[off + idx_i];
                         }
@@ -556,7 +556,7 @@ impl Symbolic {
                 }
                 pos[t] = stop;
                 if stop < tlen {
-                    let owner = plan.sn_of[row_idx[tr0 + stop]];
+                    let owner = plan.sn_of[ri(tr0 + stop)];
                     next_src[t] = head[owner];
                     head[owner] = t;
                 }
@@ -589,15 +589,15 @@ impl Symbolic {
             // member column's stored rows, in order.
             for (jc, j) in (f..l).enumerate() {
                 let base = jc * height;
-                let p0 = col_ptr[j];
-                debug_assert_eq!(col_ptr[j + 1] - p0, height - 1 - jc);
+                let p0 = cp(j);
+                debug_assert_eq!(cp(j + 1) - p0, height - 1 - jc);
                 values[p0..p0 + height - 1 - jc]
                     .copy_from_slice(&panel[base + jc + 1..base + height]);
             }
 
             if nr > 0 {
                 pos[s] = 0;
-                let owner = plan.sn_of[row_idx[r0]];
+                let owner = plan.sn_of[ri(r0)];
                 next_src[s] = head[owner];
                 head[owner] = s;
             }
@@ -629,7 +629,7 @@ pub struct SupernodalPlan {
     /// Column → owning supernode.
     sn_of: Vec<usize>,
     /// Full row indices of `L`, identical to the scalar numeric output.
-    row_idx: Vec<usize>,
+    row_idx: Vec<u32>,
     /// Largest panel height (width + shared below-block rows).
     max_panel_rows: usize,
     /// Largest supernode width (≤ the internal width cap).
@@ -683,38 +683,41 @@ pub fn analyze_with(a: &CsrMatrix, ordering: FillOrdering) -> Symbolic {
 pub fn analyze_with_perm(a: &CsrMatrix, perm: Vec<usize>) -> Symbolic {
     let n = a.dim();
     assert_eq!(perm.len(), n, "permutation length mismatch");
-    let mut iperm = vec![usize::MAX; n];
+    let mut iperm = vec![NO_PARENT; n];
     for (new, &old) in perm.iter().enumerate() {
-        assert!(old < n && iperm[old] == usize::MAX, "perm is not a permutation");
-        iperm[old] = new;
+        assert!(old < n && iperm[old] == NO_PARENT, "perm is not a permutation");
+        iperm[old] = narrow(new);
     }
 
     // Elimination tree + per-column non-zero counts of L, from the
     // pattern of the permuted matrix's lower triangle.
-    let mut parent = vec![usize::MAX; n];
+    let mut parent = vec![NO_PARENT; n];
     let mut flag = vec![usize::MAX; n];
     let mut lnz = vec![0usize; n];
     for j in 0..n {
         flag[j] = j;
         for (c_old, _) in a.row(perm[j]) {
-            let mut k = iperm[c_old];
+            let mut k = iperm[c_old] as usize;
             if k >= j {
                 continue;
             }
             while flag[k] != j {
-                if parent[k] == usize::MAX {
-                    parent[k] = j;
+                if parent[k] == NO_PARENT {
+                    parent[k] = j as u32;
                 }
                 lnz[k] += 1;
                 flag[k] = j;
-                k = parent[k];
+                k = parent[k] as usize;
             }
         }
     }
-    let mut col_ptr = vec![0usize; n + 1];
+    let mut col_ptr = vec![0u32; n + 1];
+    let mut total = 0usize;
     for j in 0..n {
-        col_ptr[j + 1] = col_ptr[j] + lnz[j];
+        total += lnz[j];
+        col_ptr[j + 1] = narrow(total);
     }
+    let perm = perm.into_iter().map(narrow).collect();
     Symbolic { n, nnz: a.nnz(), perm, iperm, parent, col_ptr }
 }
 
@@ -1031,6 +1034,7 @@ mod tests {
         let f = factor(&a).unwrap();
         let mut seen = vec![false; a.dim()];
         for &p in f.permutation() {
+            let p = p as usize;
             assert!(!seen[p], "index {p} repeated");
             seen[p] = true;
         }

@@ -1,17 +1,13 @@
-//! Property tests for the blocked/supernodal numeric phase and the
-//! level-set solves against the scalar reference path, on random SPD
-//! graph-Laplacian systems.
+//! Property tests for the blocked/supernodal numeric phase against the
+//! scalar reference path, on random SPD graph-Laplacian systems.
 //!
 //! "Parity" here means what the blocked path guarantees: the factor
 //! *structure* (permutation, column pointers, row indices) is exactly
-//! the scalar phase's, values and pivots agree to rounding (the dense
-//! panels sum identical update terms in a different order), and the
-//! level-set solve is bit-identical to the serial solve at every
-//! thread count.
+//! the scalar phase's, and values and pivots agree to rounding (the
+//! dense panels sum identical update terms in a different order).
 
 use proptest::prelude::*;
 use therm3d_thermal::sparse::factor::analyze;
-use therm3d_thermal::sparse::level::{LevelSchedule, LevelScratch};
 use therm3d_thermal::sparse::{CsrMatrix, TripletMatrix};
 
 /// A random SPD system: an arbitrary weighted graph Laplacian with
@@ -67,28 +63,5 @@ proptest! {
         // Both are true factorizations: check the residual of one.
         let r = a.mul(&xb);
         assert_close(&r, &b, 1e-7, "residual");
-    }
-
-    #[test]
-    fn leveled_solve_is_bitwise_serial_on_random_spd_systems(
-        n in 10usize..90,
-        edges in prop::collection::vec((0usize..90, 0usize..90, 0.2f64..3.0), 20..200),
-        grounds in prop::collection::vec(0.1f64..1.5, 1..6),
-        threads in 2usize..9,
-    ) {
-        let a = random_spd(n, &edges, &grounds);
-        let symbolic = analyze(&a);
-        let f = symbolic.factor_numeric(&a).unwrap();
-        let schedule = LevelSchedule::new(&f);
-        let b: Vec<f64> = (0..n).map(|i| ((i * 17) % 11) as f64 * 0.75 - 3.0).collect();
-        let serial = f.solve(&b);
-        let mut scratch = LevelScratch::new();
-        let mut x = vec![0.0; n];
-        for t in [1, threads] {
-            schedule.solve_into(&f, &b, &mut scratch, &mut x, t);
-            let xb: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
-            let sb: Vec<u64> = serial.iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(&xb, &sb, "threads={}", t);
-        }
     }
 }
