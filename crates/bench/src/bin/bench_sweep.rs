@@ -146,9 +146,9 @@ fn throughput_axis(registry: &Registry, smoke: bool) {
     #[allow(clippy::cast_precision_loss)]
     let ratio = long.1 as f64 / short.1.max(1) as f64;
     registry.gauge("throughput.heap_hw_ratio").set(ratio);
-    // Allocations the extra simulated seconds cost: with an
-    // allocation-free tick loop this is amortized queue growth only,
-    // far below one allocation per tick (10 ticks per simulated second).
+    // Allocations the extra simulated seconds cost: the tick loop's
+    // remaining per-tick allocations (the policy's control decision,
+    // about three per tick) plus amortized queue growth.
     #[allow(clippy::cast_precision_loss)]
     let allocs_per_sim_s = (long.2 as f64 - short.2 as f64) / (long.0 - short.0);
     registry.gauge("throughput.allocs_per_sim_s").set(allocs_per_sim_s);

@@ -237,7 +237,11 @@ impl Simulator {
         // Persistent per-tick buffers: the loop below runs ten times per
         // simulated second for minutes of simulated time, so the hot
         // path reuses these instead of allocating each tick.
+        // Tick-start block temperatures; each tick's post-step field is
+        // swapped in at its end, so the model is read once per tick.
         let mut temps_c: Vec<f64> = Vec::new();
+        self.thermal.block_temperatures_c_into(&mut temps_c);
+        let mut powers: Vec<f64> = Vec::new();
         let mut core_true: Vec<f64> = Vec::with_capacity(n_cores);
         let mut core_temps: Vec<f64> = Vec::with_capacity(n_cores);
         let mut commands: Vec<therm3d_policies::CoreCommand> = Vec::with_capacity(n_cores);
@@ -260,7 +264,6 @@ impl Simulator {
             let _tick_span = Span::enter("engine.tick_us");
             // 1. Sensor readings + scheduler statistics for the policy.
             // The policy sees *sensor* readings; metrics use true temps.
-            self.thermal.block_temperatures_c_into(&mut temps_c);
             core_true.clear();
             core_true.extend(self.core_sites.iter().map(|&s| temps_c[s]));
             self.sensor.read_into(&core_true, &mut core_temps);
@@ -358,7 +361,7 @@ impl Simulator {
 
             // 7. Power with leakage feedback at current temperatures, then
             // advance the thermal solution.
-            let powers = self.power.block_powers(&inputs, &temps_c);
+            self.power.block_powers_into(&inputs, &temps_c, &mut powers);
             energy.add(powers.iter().sum(), tick);
             self.thermal.set_block_powers(&powers);
             self.thermal.step(tick);
@@ -389,6 +392,7 @@ impl Simulator {
             });
 
             self.now_s += tick;
+            std::mem::swap(&mut temps_c, &mut temps_after);
         }
         // lint: end-region
 
