@@ -110,7 +110,7 @@ impl TrBdf2Operator {
         let cap = network.capacitance();
         let alpha_c = perm.iter().map(|&old| alpha * cap[old]).collect();
         let g_amb = perm.iter().map(|&old| network.ambient_conductance()[old]).collect();
-        // The sweeps read through these indices unchecked (see `at`).
+        // The sweeps and the SpMV gather through these indices unchecked.
         assert!(
             [&factor.row_idx, &row_col, &g_col]
                 .iter()
@@ -152,16 +152,20 @@ impl TrBdf2Operator {
                 let (cols, vals) = compressed(&self.g_ptr, &self.g_col, &self.g_val, k);
                 let mut gt = 0.0;
                 for (&c, &v) in cols.iter().zip(vals) {
-                    gt += v * at(temps, c);
+                    // SAFETY: `c < n` (checked in `new`) and
+                    // `temps.len() == n` (resized above).
+                    gt += v * unsafe { *temps.get_unchecked(c as usize) };
                 }
                 let z = self.alpha_c[k] * temps[k] - gt + 2.0 * b[k];
-                stage[k] = self.forward_row(k, z, stage);
+                // SAFETY: `stage.len() == n` (resized above).
+                stage[k] = unsafe { self.forward_row(k, z, stage) };
             }
             self.backward(stage);
             // Stage 2: right-hand side and forward gather, in place.
             for k in 0..n {
                 let z = self.alpha_c[k] * (TRBDF2_C1 * stage[k] - TRBDF2_C2 * temps[k]) + b[k];
-                temps[k] = self.forward_row(k, z, temps);
+                // SAFETY: `temps.len() == n` (resized above).
+                temps[k] = unsafe { self.forward_row(k, z, temps) };
             }
             self.backward(temps);
         }
@@ -171,12 +175,20 @@ impl TrBdf2Operator {
     }
 
     /// Row `k` of the forward sweep `L·y = z`: `z_k − Σ_j L_kj·y_j`
-    /// over `j < k` ascending, with `y` finished below `k`.
+    /// over `j < k` ascending, with `y` finished below `k`. The gathers
+    /// skip bounds checks: checked, they cost a quarter of the step.
+    ///
+    /// # Safety
+    ///
+    /// `y.len()` must be the operator's dimension `n` (the row's column
+    /// indices are `< n`, checked in [`new`](Self::new)).
     #[inline]
-    fn forward_row(&self, k: usize, mut z: f64, y: &[f64]) -> f64 {
+    unsafe fn forward_row(&self, k: usize, mut z: f64, y: &[f64]) -> f64 {
         let (cols, vals) = compressed(&self.row_ptr, &self.row_col, &self.row_val, k);
         for (&j, &l) in cols.iter().zip(vals) {
-            z -= l * at(y, j);
+            // SAFETY: `j < n` (checked in `new`) and `y.len() == n`
+            // (the caller's contract).
+            z -= l * unsafe { *y.get_unchecked(j as usize) };
         }
         z
     }
@@ -185,11 +197,14 @@ impl TrBdf2Operator {
     /// last.
     fn backward(&self, z: &mut [f64]) {
         let f = &self.factor;
+        assert_eq!(z.len(), f.n, "sweep length mismatch");
         for j in (0..f.n).rev() {
             let mut zj = z[j] / f.d[j];
             let (rows, vals) = f.col(j);
             for (&i, &l) in rows.iter().zip(vals) {
-                zj -= l * at(z, i);
+                // SAFETY: `i < n` (checked in `new`) and `z.len() == n`
+                // (asserted above).
+                zj -= l * unsafe { *z.get_unchecked(i as usize) };
             }
             z[j] = zj;
         }
@@ -202,18 +217,6 @@ impl TrBdf2Operator {
 fn compressed<'a>(ptr: &[u32], idx: &'a [u32], val: &'a [f64], k: usize) -> (&'a [u32], &'a [f64]) {
     let (start, end) = (ptr[k] as usize, ptr[k + 1] as usize);
     (&idx[start..end], &val[start..end])
-}
-
-/// `v[i]` without a bounds check, for the sweeps' gathers: the indices
-/// are those stored in a [`TrBdf2Operator`], all checked `< n` when it
-/// was built, and `v` is always one of [`TrBdf2Operator::advance`]'s
-/// work vectors, resized to `n` before any sweep runs. The checked
-/// gathers cost a quarter of the step.
-#[inline(always)]
-fn at(v: &[f64], i: u32) -> f64 {
-    debug_assert!((i as usize) < v.len());
-    // SAFETY: `i < n == v.len()` per the invariant above.
-    unsafe { *v.get_unchecked(i as usize) }
 }
 
 #[cfg(test)]
