@@ -396,9 +396,8 @@ impl ThermalModel {
     /// (shared across models through an attached [`FactorShare`]) and
     /// reused with LRU eviction; stepping again at the same (or any
     /// recently seen) `dt` never re-factorizes and allocates nothing.
-    /// Under
-    /// [`Integrator::ExplicitRk4`], classic RK4 with stability-bounded
-    /// substeps integrates the interval.
+    /// Under [`Integrator::ExplicitRk4`], classic RK4 with
+    /// stability-bounded substeps integrates the interval.
     ///
     /// # Panics
     ///

@@ -27,7 +27,7 @@ use crate::sparse::factor::LdlFactor;
 /// One TR-BDF2 substep operator for substep size `h`, built once per
 /// `(model, h)` and shared across sweep cells through
 /// [`FactorShare`](crate::FactorShare).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub(crate) struct TrBdf2Operator {
     /// `L`, `D` and the permutation of `(α·C + G)` with `α = (2+√2)/h`;
     /// the column form serves the backward sweep.
