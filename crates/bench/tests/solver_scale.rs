@@ -6,7 +6,8 @@
 //! Wall-clock assertions only mean something with optimizations on, so
 //! debug builds (the default `cargo test`) shrink the grid and keep the
 //! *correctness* halves of each test while skipping the speed asserts;
-//! CI runs this file under `--release` for the real numbers.
+//! CI runs this file under `--release --test-threads=1` for the real
+//! numbers, so neither timing test shares the cores with the other.
 
 use std::time::Instant;
 

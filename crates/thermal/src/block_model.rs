@@ -153,7 +153,7 @@ impl BlockThermalModel {
         g_amb[sink] = 1.0 / config.convection_resistance_kw;
         g.add_grounded_conductance(sink, g_amb[sink]);
 
-        let conductance = g.to_csr();
+        let conductance = g.into_csr();
         // Stable explicit step ∝ min(C_i / G_ii).
         let stable_dt = conductance
             .diagonal()

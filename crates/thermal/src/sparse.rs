@@ -81,17 +81,11 @@ impl TripletMatrix {
         }
     }
 
-    /// Compiles the triplets into a CSR matrix, summing duplicates.
-    #[must_use]
-    pub fn to_csr(&self) -> CsrMatrix {
-        CsrMatrix::from_triplets(self.n, &self.entries)
-    }
-
-    /// [`to_csr`](Self::to_csr), consuming the builder so its entry
-    /// buffer is sorted in place rather than copied first.
+    /// Compiles the triplets into a CSR matrix, summing duplicates. The
+    /// builder is consumed so its entry buffer is sorted in place.
     #[must_use]
     pub fn into_csr(self) -> CsrMatrix {
-        CsrMatrix::from_triplets_vec(self.n, self.entries)
+        CsrMatrix::from_triplets(self.n, self.entries)
     }
 }
 
@@ -117,17 +111,9 @@ pub(crate) fn narrow(i: usize) -> u32 {
 
 impl CsrMatrix {
     /// Builds a CSR matrix from coordinate triplets (any order, duplicates
-    /// summed).
+    /// summed), sorting the buffer in place.
     #[must_use]
-    pub fn from_triplets(n: usize, entries: &[(usize, usize, f64)]) -> Self {
-        Self::from_triplets_vec(n, entries.to_vec())
-    }
-
-    /// [`from_triplets`](Self::from_triplets), sorting the caller's
-    /// buffer in place instead of a copy. Duplicates are summed in the
-    /// order the sort leaves them, which is the same for both entry
-    /// points (same element type, same input order).
-    fn from_triplets_vec(n: usize, mut sorted: Vec<(usize, usize, f64)>) -> Self {
+    pub fn from_triplets(n: usize, mut sorted: Vec<(usize, usize, f64)>) -> Self {
         narrow(n);
         sorted.sort_unstable_by_key(|a| (a.0, a.1));
 
@@ -234,30 +220,17 @@ impl CsrMatrix {
     #[must_use]
     pub fn with_added_diagonal(&self, d: &[f64]) -> CsrMatrix {
         assert_eq!(d.len(), self.n, "diagonal length mismatch");
-        for (i, &v) in d.iter().enumerate() {
-            assert!(v.is_finite(), "diagonal entry {i} must be finite, got {v}");
-        }
-        // With every diagonal entry already stored (the RC systems'
-        // case) the pattern is unchanged and each diagonal is the sum
-        // of exactly two terms, `a_ii + d_i`: adding in place gives the
-        // bits the triplet path below would, without its buffers.
-        let diag_slots: Option<Vec<usize>> =
-            (0..self.n).map(|r| self.span(r).find(|&k| self.col_idx[k] as usize == r)).collect();
-        if let Some(slots) = diag_slots {
-            let mut out = self.clone();
-            for (&k, &v) in slots.iter().zip(d) {
-                out.values[k] += v;
-            }
-            return out;
-        }
         let mut triplets: Vec<(usize, usize, f64)> = Vec::with_capacity(self.nnz() + self.n);
         for r in 0..self.n {
             for (c, v) in self.row(r) {
                 triplets.push((r, c, v));
             }
         }
-        triplets.extend(d.iter().enumerate().map(|(i, &v)| (i, i, v)));
-        CsrMatrix::from_triplets_vec(self.n, triplets)
+        for (i, &v) in d.iter().enumerate() {
+            assert!(v.is_finite(), "diagonal entry {i} must be finite, got {v}");
+            triplets.push((i, i, v));
+        }
+        CsrMatrix::from_triplets(self.n, triplets)
     }
 
     /// Entry `(row, col)` (zero if not stored).
@@ -381,7 +354,7 @@ mod tests {
             t.add_conductance(i, i + 1, g);
         }
         t.add_grounded_conductance(0, g_amb);
-        t.to_csr()
+        t.into_csr()
     }
 
     #[test]
@@ -390,7 +363,7 @@ mod tests {
         t.add(0, 0, 1.0);
         t.add(0, 0, 2.0);
         t.add(1, 1, 4.0);
-        let m = t.to_csr();
+        let m = t.into_csr();
         assert_eq!(m.get(0, 0), 3.0);
         assert_eq!(m.get(1, 1), 4.0);
         assert_eq!(m.get(0, 1), 0.0);
@@ -401,7 +374,7 @@ mod tests {
     fn conductance_stencil() {
         let mut t = TripletMatrix::new(3);
         t.add_conductance(0, 2, 5.0);
-        let m = t.to_csr();
+        let m = t.into_csr();
         assert_eq!(m.get(0, 0), 5.0);
         assert_eq!(m.get(2, 2), 5.0);
         assert_eq!(m.get(0, 2), -5.0);
@@ -413,7 +386,7 @@ mod tests {
     fn zero_conductance_is_noop() {
         let mut t = TripletMatrix::new(2);
         t.add_conductance(0, 1, 0.0);
-        assert_eq!(t.to_csr().nnz(), 0);
+        assert_eq!(t.into_csr().nnz(), 0);
     }
 
     #[test]
@@ -463,7 +436,7 @@ mod tests {
     #[should_panic(expected = "not SPD")]
     fn cg_rejects_zero_diagonal() {
         let t = TripletMatrix::new(2);
-        let m = t.to_csr();
+        let m = t.into_csr();
         let _ = solve_cg(&m, &[1.0, 1.0], &[0.0, 0.0], 1e-10, 10);
     }
 

@@ -33,7 +33,7 @@
 //! t.add_conductance(0, 1, 2.0);
 //! t.add_conductance(1, 2, 2.0);
 //! t.add_grounded_conductance(0, 1.0);
-//! let f = factor(&t.to_csr()).expect("SPD");
+//! let f = factor(&t.into_csr()).expect("SPD");
 //! let x = f.solve(&[0.0, 0.0, 1.0]);
 //! // 1 W injected at the far end: T0 = 1, each link adds 1/2.
 //! assert!((x[0] - 1.0).abs() < 1e-12);
@@ -797,7 +797,7 @@ mod tests {
             t.add_conductance(i, i + 1, g);
         }
         t.add_grounded_conductance(0, g_amb);
-        t.to_csr()
+        t.into_csr()
     }
 
     /// A 2D grid Laplacian with every node weakly grounded (SPD, and
@@ -816,7 +816,7 @@ mod tests {
                 t.add_grounded_conductance(idx(r, c), 0.01);
             }
         }
-        t.to_csr()
+        t.into_csr()
     }
 
     #[test]
@@ -882,7 +882,7 @@ mod tests {
         let mut t = TripletMatrix::new(3);
         t.add_conductance(0, 1, 1.0);
         t.add_conductance(1, 2, 1.0);
-        let err = factor(&t.to_csr()).unwrap_err();
+        let err = factor(&t.into_csr()).unwrap_err();
         assert!(err.to_string().contains("not positive definite"), "{err}");
     }
 
@@ -1001,7 +1001,7 @@ mod tests {
         for i in 0..3 {
             t.add_conductance(i, i + 1, 1.0);
         }
-        let a = t.to_csr();
+        let a = t.into_csr();
         let symbolic = analyze(&a);
         let plan = symbolic.supernodal_plan(&a);
         let err = symbolic.factor_numeric_blocked(&a, &plan).unwrap_err();

@@ -24,7 +24,7 @@ fn random_spd(n: usize, edges: &[(usize, usize, f64)], grounds: &[f64]) -> CsrMa
     for (i, &g) in grounds.iter().cycle().take(n).enumerate() {
         t.add_grounded_conductance(i, g);
     }
-    t.to_csr()
+    t.into_csr()
 }
 
 fn assert_close(a: &[f64], b: &[f64], tol: f64, what: &str) {

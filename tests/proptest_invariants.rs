@@ -201,7 +201,7 @@ proptest! {
         for (i, &d) in diag.iter().enumerate() {
             t.add_grounded_conductance(i, d);
         }
-        let a = t.to_csr();
+        let a = t.into_csr();
         prop_assert!(a.is_symmetric(1e-12));
         let b: Vec<f64> = (0..n).map(|_| next() * 2.0 - 1.0).collect();
         let x0 = vec![0.0; n];
